@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"heteropart/internal/geometry"
 	"heteropart/internal/speed"
 )
 
@@ -116,6 +117,21 @@ func boundedDomain(f speed.Function, limit int64) speed.Function {
 
 func (c *cappedFunction) Eval(x float64) float64 { return c.f.Eval(x) }
 func (c *cappedFunction) MaxSize() float64       { return c.max }
+
+// IntersectRay implements geometry.RayIntersector, keeping capped
+// functions on their inner function's fast path: a crossing past the cap
+// clamps to it.
+func (c *cappedFunction) IntersectRay(slope float64) (float64, bool) {
+	ri, ok := c.f.(geometry.RayIntersector)
+	if !ok {
+		return speed.BisectRay(c, slope)
+	}
+	x, hit := ri.IntersectRay(slope)
+	if x > c.max {
+		return c.max, false
+	}
+	return x, hit
+}
 
 // WeightedItem is one element of a weighted set.
 type WeightedItem struct {

@@ -28,9 +28,10 @@ func Modified(n int64, fns []speed.Function, opts ...Option) (Result, error) {
 
 // integerSpan returns the number of integer abscissas strictly available
 // on processor i's graph inside the current region, together with the
-// middle one.
+// middle one. Candidates start at 1: no ray passes through a graph point
+// at abscissa 0, where an exact intersection of a steep ray lands.
 func integerSpan(lo, hi float64) (count int64, mid float64) {
-	l := math.Ceil(lo)
+	l := math.Max(math.Ceil(lo), 1)
 	h := math.Floor(hi)
 	if h < l {
 		return 0, 0

@@ -174,3 +174,44 @@ func TestIntegerSpan(t *testing.T) {
 		}
 	}
 }
+
+// originRise is s(x) = c·x/(x+1) with an exact ray intersection, which
+// lands on the origin itself for every ray at least as steep as s(x)/x at
+// 0+ (slope ≥ c) — as the analytic model's closed form does.
+type originRise struct{ c, max float64 }
+
+func (r originRise) Eval(x float64) float64 {
+	if x <= 0 {
+		return 0
+	}
+	return r.c * x / (x + 1)
+}
+
+func (r originRise) MaxSize() float64 { return r.max }
+
+func (r originRise) IntersectRay(slope float64) (float64, bool) {
+	x := math.Max(r.c/slope-1, 0)
+	if x > r.max {
+		return r.max, false
+	}
+	return x, true
+}
+
+// TestModifiedNeverDrawsRayThroughOrigin: a region whose steep bound
+// crosses a graph exactly at x = 0 must not offer abscissa 0 as a
+// candidate solution, since no ray passes through the graph point (0, 0).
+func TestModifiedNeverDrawsRayThroughOrigin(t *testing.T) {
+	for _, c := range []struct {
+		n int64
+		k float64
+	}{{1, 1}, {2, 1}, {10, 100}} {
+		fns := []speed.Function{originRise{c: 1, max: 1e6}, speed.MustConstant(c.k, 1e6)}
+		res, err := Modified(c.n, fns)
+		if err != nil {
+			t.Fatalf("Modified(%d) with constant %v: %v", c.n, c.k, err)
+		}
+		if res.Alloc.Sum() != c.n {
+			t.Errorf("Modified(%d) with constant %v: sum = %d", c.n, c.k, res.Alloc.Sum())
+		}
+	}
+}

@@ -156,17 +156,25 @@ func Intersect(c Curve, ray Ray, hi float64) (float64, error) {
 		}
 		return x, nil
 	}
-	g := func(x float64) float64 { return c.Eval(x) - ray.Y(x) }
-	if g(hi) >= 0 {
+	if c.Eval(hi)-ray.Y(hi) >= 0 {
 		// Ray below (or touching) the curve across the whole domain.
 		return hi, nil
 	}
-	lo := 0.0
-	// g(0+) = c.Eval(0+) ≥ 0 for non-negative curves; treat lo as the
+	// g(0+) = c.Eval(0+) ≥ 0 for non-negative curves; treat 0 as the
 	// non-crossing side even when c.Eval(0) == 0.
+	return BisectCrossing(c, ray, 0, hi), nil
+}
+
+// BisectCrossing returns the abscissa in [lo, hi] at which the ray
+// crosses the curve, by bisection on g(x) = c.Eval(x) − ray.Y(x) to a
+// relative tolerance of 1e-12. The caller guarantees the bracket:
+// g(lo) ≥ 0 (the curve on or above the ray) and g(hi) < 0, with a single
+// sign change in between (the shape assumption). Analytic curves use it
+// on the one segment where their crossing has no closed form.
+func BisectCrossing(c Curve, ray Ray, lo, hi float64) float64 {
 	for range maxBisectIter {
 		mid := 0.5 * (lo + hi)
-		if g(mid) >= 0 {
+		if c.Eval(mid)-ray.Y(mid) >= 0 {
 			lo = mid
 		} else {
 			hi = mid
@@ -175,7 +183,7 @@ func Intersect(c Curve, ray Ray, hi float64) (float64, error) {
 			break
 		}
 	}
-	return 0.5 * (lo + hi), nil
+	return 0.5 * (lo + hi)
 }
 
 // maxBisectIter bounds the numeric bisection. 128 halvings exhaust the

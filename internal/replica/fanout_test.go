@@ -90,9 +90,16 @@ func TestMultiFollowerFanOutLinkDown(t *testing.T) {
 	<-done
 
 	primDigest := planDigest(p.prim.Plans())
+	end := p.prim.ReplicationPos()
+	// A follower's store shows an ingested chunk's plans before its
+	// Status counts the chunk's bytes and frames, so wait for both.
+	confirmedEnd := func(st Status) bool {
+		return st.Gen == end.Gen && st.Confirmed == end.Offset && st.Frames == end.Frames
+	}
 	waitFor(t, "both followers converged", func() bool {
 		return planDigest(p.fst.Plans()) == primDigest &&
-			planDigest(bst.Plans()) == primDigest
+			planDigest(bst.Plans()) == primDigest &&
+			confirmedEnd(fa.Status()) && confirmedEnd(fb.Status())
 	})
 
 	sa, sb := fa.Status(), fb.Status()
@@ -108,7 +115,6 @@ func TestMultiFollowerFanOutLinkDown(t *testing.T) {
 	// primary's committed end of the primary's current generation. (Local
 	// store offsets differ when re-handoffs landed at different times; the
 	// position that must agree is the one in the primary's log.)
-	end := p.prim.ReplicationPos()
 	for name, st := range map[string]Status{"A": sa, "B": sb} {
 		if st.Gen != end.Gen || st.Confirmed != end.Offset || st.Frames != end.Frames {
 			t.Errorf("follower %s at (gen=%d, offset=%d, frames=%d), primary at (gen=%d, offset=%d, frames=%d)",

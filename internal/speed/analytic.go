@@ -3,6 +3,8 @@ package speed
 import (
 	"fmt"
 	"math"
+
+	"heteropart/internal/geometry"
 )
 
 // Analytic is a smooth synthetic speed function with the qualitative shape
@@ -114,6 +116,56 @@ func (a *Analytic) pagingTerm(x float64) float64 {
 
 // MaxSize implements Function.
 func (a *Analytic) MaxSize() float64 { return a.Max }
+
+// IntersectRay implements geometry.RayIntersector. The crossing with
+// y = m·x solves s(x)/x = Peak·cache(x)·paging(x)/(x+HalfRise) = m, and
+// the domain splits into three regions at the joints where a term starts
+// to act. Before the cache edge and the paging point both terms are 1 and
+// x = Peak/m − HalfRise. In the cache-decay region cache(x) is linear,
+// paging(x) is 1, and the equation is still linear in x. Only the paging
+// region is a cubic; it is bisected on its own segment. The region is
+// picked by comparing the ray with the graph at the joints, as
+// PiecewiseLinear does with its knots, and each root is clamped into its
+// region so x never increases with the slope.
+func (a *Analytic) IntersectRay(m float64) (float64, bool) {
+	if !(m > 0) || a.Eval(a.Max)-m*a.Max >= 0 {
+		// Ray below (or touching) the graph across the whole domain.
+		return a.Max, false
+	}
+	rise := a.Max
+	if a.CacheEdge > 0 {
+		rise = math.Min(rise, a.CacheEdge)
+	}
+	if a.PagingPoint > 0 {
+		rise = math.Min(rise, a.PagingPoint)
+	}
+	if rise == a.Max || a.Eval(rise)-m*rise < 0 {
+		// Peak/(x+HalfRise) = m; the FMA keeps Peak − m·HalfRise exact
+		// when the crossing sits close to the origin.
+		return clamp(math.FMA(-m, a.HalfRise, a.Peak)/m, 0, rise), true
+	}
+	decayEnd := rise
+	if rise == a.CacheEdge {
+		// cacheTerm's decay runs to the paging point, or to Max without
+		// one; the paging term only starts at the former.
+		end := a.Max
+		if a.PagingPoint > 0 {
+			end = a.PagingPoint
+		}
+		decayEnd = math.Min(end, a.Max)
+		if decayEnd == a.Max || a.Eval(decayEnd)-m*decayEnd < 0 {
+			// With u = x − CacheEdge, cache = 1 − k·u and
+			// Peak·(1 − k·u) = m·(u + CacheEdge + HalfRise).
+			k := (1 - a.CacheDecay) / (end - a.CacheEdge)
+			u := math.FMA(-m, a.CacheEdge+a.HalfRise, a.Peak) / (m + a.Peak*k)
+			return clamp(a.CacheEdge+u, rise, decayEnd), true
+		}
+	}
+	return geometry.BisectCrossing(a, geometry.MustRay(m), decayEnd, a.Max), true
+}
+
+// clamp limits x to [lo, hi].
+func clamp(x, lo, hi float64) float64 { return math.Min(math.Max(x, lo), hi) }
 
 // String implements fmt.Stringer.
 func (a *Analytic) String() string {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"heteropart/internal/geometry"
 )
 
 // WidthModel gives the relative full width of a performance band at problem
@@ -97,6 +99,15 @@ type scaledFunction struct {
 
 func (s *scaledFunction) Eval(x float64) float64 { return s.factor * s.f.Eval(x) }
 func (s *scaledFunction) MaxSize() float64       { return s.f.MaxSize() }
+
+// IntersectRay implements geometry.RayIntersector: the ray y = slope·x
+// meets factor·f(x) exactly where y = (slope/factor)·x meets f(x).
+func (s *scaledFunction) IntersectRay(slope float64) (float64, bool) {
+	if ri, ok := s.f.(geometry.RayIntersector); ok {
+		return ri.IntersectRay(slope / s.factor)
+	}
+	return BisectRay(s, slope)
+}
 
 // ScaleSpeed returns f with its ordinate multiplied by factor > 0.
 func ScaleSpeed(f Function, factor float64) (Function, error) {

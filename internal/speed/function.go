@@ -164,13 +164,26 @@ func (s *Scale) IntersectRay(slope float64) (float64, bool) {
 		x, hit := ri.IntersectRay(slope / s.XFactor)
 		return x / s.XFactor, hit
 	}
-	// Numeric fallback. The adapter hides this method so that
-	// geometry.Intersect takes its bisection path instead of recursing.
-	x, err := geometry.Intersect(curveOnly{s}, geometry.MustRay(slope), s.MaxSize())
+	return BisectRay(s, slope)
+}
+
+// BisectRay intersects f's graph with the ray y = slope·x by bisection
+// over (0, f.MaxSize()], ignoring any analytic fast path f has. It returns
+// (MaxSize, false) when the ray never rises above the graph. Wrapper
+// functions fall back to it from their IntersectRay when the function
+// they wrap has no fast path of its own.
+func BisectRay(f Function, slope float64) (float64, bool) {
+	ray, err := geometry.NewRay(slope)
 	if err != nil {
-		return s.MaxSize(), false
+		return f.MaxSize(), false
 	}
-	return x, x < s.MaxSize()
+	// The adapter hides f's IntersectRay so that geometry.Intersect takes
+	// its bisection path instead of recursing.
+	x, err := geometry.Intersect(curveOnly{f}, ray, f.MaxSize())
+	if err != nil {
+		return f.MaxSize(), false
+	}
+	return x, x < f.MaxSize()
 }
 
 // curveOnly strips every method but Eval from a Function, forcing

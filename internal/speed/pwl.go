@@ -153,21 +153,6 @@ func (f *PiecewiseLinear) Eval(x float64) float64 {
 	return a.Y + t*(b.Y-a.Y)
 }
 
-// EvalBatch evaluates the function at every abscissa in xs, writing the
-// results into dst (reused when it has capacity, grown otherwise) and
-// returning it. It is the amortized form of Eval for callers probing many
-// sizes against one model.
-func (f *PiecewiseLinear) EvalBatch(xs, dst []float64) []float64 {
-	if cap(dst) < len(xs) {
-		dst = make([]float64, len(xs))
-	}
-	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = f.Eval(x)
-	}
-	return dst
-}
-
 // MaxSize implements Function.
 func (f *PiecewiseLinear) MaxSize() float64 { return f.pts[len(f.pts)-1].X }
 
@@ -217,21 +202,6 @@ func (f *PiecewiseLinear) IntersectRay(slope float64) (float64, bool) {
 	x := f.icepts[lo] / den
 	// Numerical safety: keep the root inside the segment.
 	return math.Min(math.Max(x, a.X), b.X), true
-}
-
-// IntersectRayBatch intersects every ray slope in slopes with the graph,
-// writing the abscissas into dst (reused when it has capacity) and
-// returning it. Non-crossing rays clamp to the domain like IntersectRay's
-// false case; callers needing the hit flag use the scalar form.
-func (f *PiecewiseLinear) IntersectRayBatch(slopes, dst []float64) []float64 {
-	if cap(dst) < len(slopes) {
-		dst = make([]float64, len(slopes))
-	}
-	dst = dst[:len(slopes)]
-	for i, s := range slopes {
-		dst[i], _ = f.IntersectRay(s)
-	}
-	return dst
 }
 
 // MarshalJSON implements json.Marshaler, emitting the knot list.

@@ -37,7 +37,9 @@
 #   9c. handover gate: demote a live primary to its follower and require
 #      zero dropped reads, exactly swapped roles, and warm hits after
 #  10. explicit race pass for the model layer (speed) — fingerprints and
-#      the drift detector are read concurrently by every serving path
+#      the drift detector are read concurrently by every serving path —
+#      plus a 10 s fuzz smoke of the analytic model's closed-form ray
+#      intersection against bisection
 #  11. delta-refresh gate: the per-processor refresh tests (delta WAL
 #      records, validated replay, selective plan invalidation) under the
 #      race detector in both the store and the plan cache
@@ -100,6 +102,8 @@ echo "==> handover gate: go test -race -run Handover ./internal/rpc/" >&2
 go test -race -count=1 -run Handover ./internal/rpc/
 echo "==> go test -race ./internal/speed/... (model-layer gate)" >&2
 go test -race ./internal/speed/...
+echo "==> fuzz smoke: go test -run '^$' -fuzz FuzzAnalyticIntersectRay -fuzztime=10s ./internal/speed/" >&2
+go test -run '^$' -fuzz '^FuzzAnalyticIntersectRay$' -fuzztime=10s ./internal/speed/
 echo "==> delta-refresh gate: go test -race -run DeltaRefresh ./internal/store/ ./internal/plancache/" >&2
 go test -race -count=1 -run DeltaRefresh ./internal/store/ ./internal/plancache/
 echo "==> benchmark smoke: go test -run '^$' -bench Kernel -benchtime=1x ." >&2
