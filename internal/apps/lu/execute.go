@@ -129,6 +129,11 @@ func panelFactor(lu *matrix.Dense, perm []int, k0, w int) error {
 // updateBlock applies the step-k transformation to the block column
 // [j0, j1): the triangular solve U_kj = L_kk⁻¹·A_kj followed by the Schur
 // update A_ij -= L_ik·U_kj.
+//
+// The Schur update holds 2 trailing rows × 4 columns in registers across
+// the whole panel. Every element still receives its updates one at a time
+// in ascending t, skipping a zero multiplier exactly as the one-row loop
+// does, so the result is bit-identical to it.
 func updateBlock(lu *matrix.Dense, k0, w, j0, j1 int) {
 	n := lu.Rows
 	// Triangular solve with the unit lower triangle at (k0, k0).
@@ -145,18 +150,59 @@ func updateBlock(lu *matrix.Dense, k0, w, j0, j1 int) {
 			}
 		}
 	}
-	// Schur complement of the trailing rows.
-	for i := k0 + w; i < n; i++ {
+	// Schur complement of the trailing rows. u[t] is row k0+t of U_kj.
+	u := make([][]float64, w)
+	for t := range u {
+		u[t] = lu.Row(k0 + t)[j0:j1]
+	}
+	i := k0 + w
+	for ; i+1 < n; i += 2 {
+		r0, r1 := lu.Row(i), lu.Row(i+1)
+		l0, l1 := r0[k0:k0+w], r1[k0:k0+w]
+		x0, x1 := r0[j0:j1], r1[j0:j1]
+		c := 0
+		for ; c+4 <= len(x0); c += 4 {
+			a0, a1, a2, a3 := x0[c], x0[c+1], x0[c+2], x0[c+3]
+			b0, b1, b2, b3 := x1[c], x1[c+1], x1[c+2], x1[c+3]
+			for t, ut := range u {
+				ut := ut[c : c+4 : c+4]
+				if l := l0[t]; l != 0 {
+					a0 -= l * ut[0]
+					a1 -= l * ut[1]
+					a2 -= l * ut[2]
+					a3 -= l * ut[3]
+				}
+				if l := l1[t]; l != 0 {
+					b0 -= l * ut[0]
+					b1 -= l * ut[1]
+					b2 -= l * ut[2]
+					b3 -= l * ut[3]
+				}
+			}
+			x0[c], x0[c+1], x0[c+2], x0[c+3] = a0, a1, a2, a3
+			x1[c], x1[c+1], x1[c+2], x1[c+3] = b0, b1, b2, b3
+		}
+		if c < len(x0) {
+			schurRow(u, l0, x0, c)
+			schurRow(u, l1, x1, c)
+		}
+	}
+	if i < n {
 		ri := lu.Row(i)
-		for t := k0; t < k0+w; t++ {
-			l := lu.At(i, t)
-			if l == 0 {
-				continue
-			}
-			rt := lu.Row(t)
-			for c := j0; c < j1; c++ {
-				ri[c] -= l * rt[c]
-			}
+		schurRow(u, ri[k0:k0+w], ri[j0:j1], 0)
+	}
+}
+
+// schurRow applies the Schur update to columns [c, len(x)) of one trailing
+// row x with multipliers l: x -= Σ_t l[t]·u[t], t ascending.
+func schurRow(u [][]float64, l, x []float64, c int) {
+	for t, ut := range u {
+		lt := l[t]
+		if lt == 0 {
+			continue
+		}
+		for k := c; k < len(x); k++ {
+			x[k] -= lt * ut[k]
 		}
 	}
 }

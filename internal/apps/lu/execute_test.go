@@ -2,6 +2,7 @@ package lu
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"heteropart/internal/kernels"
@@ -20,26 +21,37 @@ func wellConditioned(n int, seed uint64) *matrix.Dense {
 }
 
 func TestExecuteMatchesUnblocked(t *testing.T) {
-	fns := []speed.Function{
+	small := []speed.Function{
 		speed.MustConstant(300, 1e9),
 		speed.MustConstant(200, 1e9),
 		speed.MustConstant(100, 1e9),
 	}
-	for _, n := range []int{32, 96, 100} { // 100 exercises a partial block
-		d, err := VariableGroupBlock(n, 16, fns)
+	cases := []struct {
+		n, b int
+		fns  []speed.Function
+	}{
+		{32, 16, small},
+		{96, 16, small},
+		{100, 16, small}, // a partial last block
+		{1024, 32, table2LURates(t)},
+	}
+	for _, c := range cases {
+		n := c.n
+		d, err := VariableGroupBlock(n, c.b, c.fns)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		a := wellConditioned(n, uint64(n))
-		lu, perm, times, err := Execute(d, a, len(fns))
+		lu, perm, times, err := Execute(d, a, len(c.fns))
 		if err != nil {
 			t.Fatalf("n=%d: Execute: %v", n, err)
 		}
-		if len(times) != len(fns) {
+		if len(times) != len(c.fns) {
 			t.Errorf("n=%d: %d worker times", n, len(times))
 		}
-		// The blocked parallel factors must agree with the serial
-		// unblocked kernel (same pivot sequence).
+		// The blocked parallel factors must equal the serial unblocked
+		// kernel's bit for bit: same pivot sequence, and every element
+		// receives the same updates in the same order.
 		ref := a.Clone()
 		refPerm, err := kernels.LUFactorize(ref)
 		if err != nil {
@@ -51,8 +63,10 @@ func TestExecuteMatchesUnblocked(t *testing.T) {
 					n, i, perm[:i+1], refPerm[:i+1])
 			}
 		}
-		if diff := matrix.MaxAbsDiff(lu, ref); diff > 1e-8*float64(n) {
-			t.Errorf("n=%d: factors differ from unblocked by %v", n, diff)
+		for i, v := range lu.Data {
+			if math.Float64bits(v) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("n=%d: factor (%d, %d) = %v, unblocked %v", n, i/n, i%n, v, ref.Data[i])
+			}
 		}
 		// And reconstruct the original matrix.
 		back, err := kernels.LUReconstruct(lu, perm)
@@ -61,6 +75,85 @@ func TestExecuteMatchesUnblocked(t *testing.T) {
 		}
 		if diff := matrix.MaxAbsDiff(back, a); diff > 1e-8*float64(n) {
 			t.Errorf("n=%d: reconstruction error %v", n, diff)
+		}
+	}
+}
+
+// updateBlockRef is the one-row-at-a-time step-k update, the reference
+// updateBlock must match bit for bit.
+func updateBlockRef(lu *matrix.Dense, k0, w, j0, j1 int) {
+	n := lu.Rows
+	// Triangular solve with the unit lower triangle at (k0, k0).
+	for i := k0 + 1; i < k0+w; i++ {
+		ri := lu.Row(i)
+		for t := k0; t < i; t++ {
+			l := lu.At(i, t)
+			if l == 0 {
+				continue
+			}
+			rt := lu.Row(t)
+			for c := j0; c < j1; c++ {
+				ri[c] -= l * rt[c]
+			}
+		}
+	}
+	// Schur complement of the trailing rows.
+	for i := k0 + w; i < n; i++ {
+		ri := lu.Row(i)
+		for t := k0; t < k0+w; t++ {
+			l := lu.At(i, t)
+			if l == 0 {
+				continue
+			}
+			rt := lu.Row(t)
+			for c := j0; c < j1; c++ {
+				ri[c] -= l * rt[c]
+			}
+		}
+	}
+}
+
+func TestUpdateBlockMatchesReference(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	shapes := []struct{ n, k0, w, j0, j1 int }{
+		{40, 0, 8, 8, 16},   // even trailing rows, two 4-column groups
+		{41, 8, 8, 16, 29},  // odd trailing rows, a 1-column remainder
+		{37, 4, 7, 11, 14},  // narrower than one column group
+		{30, 10, 1, 11, 30}, // a one-column panel
+		{33, 0, 16, 16, 33}, // 17 trailing rows, 17 columns
+		{20, 12, 8, 20, 20}, // no trailing rows, empty block
+	}
+	for _, sh := range shapes {
+		for seed := uint64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewPCG(seed, uint64(sh.n)))
+			a := matrix.MustNew(sh.n, sh.n)
+			for i := range a.Data {
+				a.Data[i] = 2*rng.Float64() - 1
+				// Exact-zero and −0.0 multipliers, −0.0 trailing
+				// elements and infinite U entries: the values on
+				// which skipping a zero multiplier changes the result
+				// (−0 − (+0·−x) is +0, and 0·Inf is NaN).
+				switch rng.IntN(6) {
+				case 0:
+					a.Data[i] = negZero
+				case 1:
+					a.Data[i] = 0
+				case 2:
+					if rng.IntN(4) == 0 {
+						a.Data[i] = math.Inf(1 - 2*rng.IntN(2))
+					}
+				}
+			}
+			want := a.Clone()
+			updateBlockRef(want, sh.k0, sh.w, sh.j0, sh.j1)
+			updateBlock(a, sh.k0, sh.w, sh.j0, sh.j1)
+			for i, v := range a.Data {
+				if w := want.Data[i]; math.Float64bits(v) != math.Float64bits(w) &&
+					!(math.IsNaN(v) && math.IsNaN(w)) {
+					t.Fatalf("%+v seed %d: (%d, %d) = %v (%#x), reference %v (%#x)",
+						sh, seed, i/sh.n, i%sh.n, v, math.Float64bits(v), w, math.Float64bits(w))
+				}
+			}
 		}
 	}
 }

@@ -7,8 +7,10 @@
 package mm
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"heteropart/internal/core"
@@ -143,7 +145,16 @@ func ExecuteWith(pl *pool.Pool, p Plan, a, b *matrix.Dense) (*matrix.Dense, []fl
 	}
 	times := make([]float64, len(stripes))
 	errs := make([]error, len(stripes))
-	pl.Run(len(stripes), func(w int) {
+	// Hand the stripes to the pool largest first, so the small stripes
+	// fill in around the large ones instead of leaving one pool worker
+	// finishing a large stripe claimed last.
+	order := make([]int, len(stripes))
+	for w := range order {
+		order[w] = w
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(p.Rows[y], p.Rows[x]) })
+	pl.Run(len(order), func(i int) {
+		w := order[i]
 		lo, hi := stripes[w][0], stripes[w][1]
 		if lo == hi {
 			return

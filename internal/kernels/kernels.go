@@ -77,27 +77,72 @@ func MatMulBlocked(c, a, b *matrix.Dense, block int) error {
 	return nil
 }
 
+// abtTile is the number of b rows MatMulABT sweeps at a time: a tile of
+// 64 rows of length n = 1024 is 512 KiB, small enough to stay in L2 while
+// every pair of a rows passes over it.
+const abtTile = 64
+
 // MatMulABT computes c = a×bᵀ, the matrix operation of the paper's first
 // application (Figure 16). Both a and b are stored row-major, so the inner
 // product runs along two contiguous rows.
+//
+// The kernel sweeps b in tiles of abtTile rows and computes C in 2×2
+// blocks, four independent dot products sharing each load of a and b.
+// Every element is still one k-ascending sum s += a[i][k]·b[j][k] starting
+// at 0, so the result is bit-identical to the plain one-dot-per-element
+// loop.
 func MatMulABT(c, a, b *matrix.Dense) error {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		return fmt.Errorf("%w: (%d×%d)·(%d×%d)ᵀ→(%d×%d)", ErrShape,
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for k := range arow {
-				s += arow[k] * brow[k]
+	for j0 := 0; j0 < b.Rows; j0 += abtTile {
+		j1 := min(j0+abtTile, b.Rows)
+		i := 0
+		for ; i+1 < a.Rows; i += 2 {
+			a0, a1 := a.Row(i), a.Row(i+1)
+			c0, c1 := c.Row(i), c.Row(i+1)
+			j := j0
+			for ; j+1 < j1; j += 2 {
+				c0[j], c0[j+1], c1[j], c1[j+1] = dot2x2(a0, a1, b.Row(j), b.Row(j+1))
 			}
-			crow[j] = s
+			if j < j1 {
+				bj := b.Row(j)
+				c0[j], c1[j] = dot(a0, bj), dot(a1, bj)
+			}
+		}
+		if i < a.Rows {
+			ai, ci := a.Row(i), c.Row(i)
+			for j := j0; j < j1; j++ {
+				ci[j] = dot(ai, b.Row(j))
+			}
 		}
 	}
 	return nil
+}
+
+// dot is the k-ascending inner product of two equal-length rows.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for k := range x {
+		s += x[k] * y[k]
+	}
+	return s
+}
+
+// dot2x2 returns the four inner products x0·y0, x0·y1, x1·y0 and x1·y1 of
+// equal-length rows, each accumulated exactly as dot accumulates it.
+func dot2x2(x0, x1, y0, y1 []float64) (s00, s01, s10, s11 float64) {
+	x1, y0, y1 = x1[:len(x0)], y0[:len(x0)], y1[:len(x0)]
+	for k, u := range x0 {
+		v, p, q := x1[k], y0[k], y1[k]
+		s00 += u * p
+		s01 += u * q
+		s10 += v * p
+		s11 += v * q
+	}
+	return
 }
 
 // LUFactorize overwrites a with its LU factorization using partial

@@ -82,8 +82,8 @@ func MatMulParallel(pl *pool.Pool, c, a, b *matrix.Dense, block int) error {
 
 // MatMulABTParallel computes c = a×bᵀ — the application kernel of the
 // paper's first experiment — with row panels of C fanned out over the
-// pool. Rows are independent dot products of contiguous rows of a and b,
-// so the kernel is embarrassingly parallel and bit-identical to MatMulABT.
+// pool. Each panel runs MatMulABT on row-stripe views; rows are
+// independent dot products, so the result is bit-identical to MatMulABT.
 func MatMulABTParallel(pl *pool.Pool, c, a, b *matrix.Dense) error {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		return fmt.Errorf("%w: (%d×%d)·(%d×%d)ᵀ→(%d×%d)", ErrShape,
@@ -97,18 +97,11 @@ func MatMulABTParallel(pl *pool.Pool, c, a, b *matrix.Dense) error {
 	pl.Run(panels, func(pi int) {
 		lo := pi * panel
 		hi := min(lo+panel, a.Rows)
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var s float64
-				for k := range arow {
-					s += arow[k] * brow[k]
-				}
-				crow[j] = s
-			}
-		}
+		// The stripes are in range and the shapes were checked above, so
+		// neither call can fail.
+		as, _ := a.RowStripe(lo, hi)
+		cs, _ := c.RowStripe(lo, hi)
+		_ = MatMulABT(cs, as, b)
 	})
 	return nil
 }

@@ -92,28 +92,31 @@ func (m *Dense) FillIdentity() error {
 	return nil
 }
 
-// Equalish reports whether two matrices agree elementwise within tol.
+// Equalish reports whether two matrices agree elementwise within tol. A
+// NaN disagrees with everything but a NaN of identical bits.
 func Equalish(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
+	return MaxAbsDiff(a, b) <= tol
 }
 
 // MaxAbsDiff returns the largest elementwise absolute difference, or +Inf
-// on shape mismatch.
+// on shape mismatch. Positions holding identical bits (equal infinities
+// included) count as 0; a NaN anywhere else counts as +Inf, so a NaN
+// result can never pass a d > tol check.
 func MaxAbsDiff(a, b *Dense) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return math.Inf(1)
 	}
 	var worst float64
 	for i, v := range a.Data {
-		worst = math.Max(worst, math.Abs(v-b.Data[i]))
+		w := b.Data[i]
+		if math.Float64bits(v) == math.Float64bits(w) {
+			continue
+		}
+		d := math.Abs(v - w)
+		if math.IsNaN(d) {
+			return math.Inf(1)
+		}
+		worst = max(worst, d)
 	}
 	return worst
 }

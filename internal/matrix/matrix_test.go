@@ -183,3 +183,36 @@ func TestStripesProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestMaxAbsDiffNaNAndInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		a, b float64
+		want float64
+	}{
+		{"NaN against a number", nan, 1, inf},
+		{"number against NaN", 1, nan, inf},
+		{"NaN against Inf", nan, inf, inf},
+		{"Inf against Inf", inf, inf, 0},
+		{"-Inf against -Inf", -inf, -inf, 0},
+		{"Inf against -Inf", inf, -inf, inf},
+		{"Inf against a number", inf, 1, inf},
+		{"+0 against -0", 0, math.Copysign(0, -1), 0},
+		{"identical NaN", nan, nan, 0},
+	}
+	for _, c := range cases {
+		a, b := MustNew(1, 3), MustNew(1, 3)
+		// The differing position sits between two positions that differ
+		// by 0.5, so a NaN must not be lost to an earlier or later maximum.
+		copy(a.Data, []float64{0.5, c.a, 0})
+		copy(b.Data, []float64{0, c.b, 0.5})
+		want := max(c.want, 0.5)
+		if got := MaxAbsDiff(a, b); got != want {
+			t.Errorf("%s: MaxAbsDiff = %v, want %v", c.name, got, want)
+		}
+		if got, wantEq := Equalish(a, b, 1), want <= 1; got != wantEq {
+			t.Errorf("%s: Equalish(tol 1) = %v, want %v", c.name, got, wantEq)
+		}
+	}
+}

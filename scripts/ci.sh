@@ -8,9 +8,11 @@
 #      executors, the worker pool and the experiment harness are
 #      concurrent by construction)
 #   4. explicit race passes that must never drop out of the run:
-#      the kernel-perf pair (pool, kernels) and the robustness pair
-#      (faults, measure) — the latter exercises deadline abandonment,
-#      retry backoff and the drift detector under the race detector
+#      the kernel-perf pair (pool, kernels), plus a 10 s fuzz smoke of
+#      the register-blocked A·Bᵀ kernel against the plain dot-product
+#      loop, and the robustness pair (faults, measure) — the latter
+#      exercises deadline abandonment, retry backoff and the drift
+#      detector under the race detector
 #   5. explicit race pass for the partition-serving pair (plancache,
 #      serve) — a sharded cache with singleflight and a batching engine
 #      are the most lock-ordering-sensitive code in the tree
@@ -81,6 +83,8 @@ echo "==> go test -race ./internal/..." >&2
 go test -race ./internal/...
 echo "==> go test -race ./internal/pool/... ./internal/kernels/... (kernel-perf gate)" >&2
 go test -race ./internal/pool/... ./internal/kernels/...
+echo "==> fuzz smoke: go test -run '^$' -fuzz FuzzMatMulABT -fuzztime=10s ./internal/kernels/" >&2
+go test -run '^$' -fuzz '^FuzzMatMulABT$' -fuzztime=10s ./internal/kernels/
 echo "==> go test -race ./internal/faults/... ./internal/measure/... (robustness gate)" >&2
 go test -race ./internal/faults/... ./internal/measure/...
 echo "==> go test -race ./internal/plancache/... ./internal/serve/... (partition-serving gate)" >&2
