@@ -21,25 +21,29 @@ import (
 type Fabric struct {
 	members []string
 	self    int
-	fwd     *forwarder
+	peers   []*peer // relay state, index-aligned with members
+	timeout time.Duration
 
 	// Forwarded counts requests this member relayed to their owner;
 	// RemoteHits the subset the owner answered from its warm cache.
 	// ServedLocal counts requests this member owned and served itself;
 	// FallbackLocal those it served locally because the owner was down
-	// (ForwardErrors counts the failed attempts). ForwardedIn counts
-	// requests that arrived carrying the forwarding fence header.
+	// (ForwardErrors counts the failed attempts). ModelMismatch counts
+	// requests served locally because the owner holds a different model
+	// under the label, or none. ForwardedIn counts requests that arrived
+	// carrying the forwarding fence header.
 	Forwarded     atomic.Uint64
 	ForwardErrors atomic.Uint64
 	FallbackLocal atomic.Uint64
+	ModelMismatch atomic.Uint64
 	ServedLocal   atomic.Uint64
 	RemoteHits    atomic.Uint64
 	ForwardedIn   atomic.Uint64
 }
 
 // New builds a fabric member: self is this daemon's advertised base URL,
-// peers the other members' (the -peers list). Duplicates collapse;
-// timeout bounds one forwarded request (default 2s).
+// peers the other members' (the -peers list), each an http:// base URL.
+// Duplicates collapse; timeout bounds one forwarded request (default 2s).
 func New(self string, peers []string, timeout time.Duration) (*Fabric, error) {
 	if self == "" {
 		return nil, fmt.Errorf("fabric: self URL is required")
@@ -54,11 +58,19 @@ func New(self string, peers []string, timeout time.Duration) (*Fabric, error) {
 		members = append(members, m)
 	}
 	sort.Strings(members)
-	f := &Fabric{members: members, self: -1, fwd: newForwarder(timeout)}
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+	}
+	f := &Fabric{members: members, self: -1, peers: make([]*peer, len(members)), timeout: timeout}
 	for i, m := range members {
 		if m == self {
 			f.self = i
 		}
+		p, err := newPeer(m)
+		if err != nil {
+			return nil, err
+		}
+		f.peers[i] = p
 	}
 	return f, nil
 }
@@ -122,11 +134,30 @@ func jumpHash(key uint64, buckets int) int {
 	return int(b)
 }
 
-// Forward relays a raw /v1/partition body to the member at owner and
-// returns its status, the X-Hetpart-Tier response header (set by owners
-// on forwarded singles), and the response body verbatim.
-func (f *Fabric) Forward(owner int, body []byte) (status int, tier string, resp []byte, err error) {
-	return f.fwd.partition(f.members[owner], body)
+// ForwardModel relays a raw /v1/partition body to the member at owner
+// under a fence carrying the edge's model fingerprint fp, and returns the
+// owner's status, whether it answered from its warm cache (X-Hetpart-Tier:
+// hit, set by owners on forwarded singles), and the response body
+// verbatim, appended to dst. The body bytes pass through untouched in
+// both directions: bit-identity of forwarded answers is a property of the
+// relay, not a re-encoding.
+func (f *Fabric) ForwardModel(owner int, fp uint64, body, dst []byte) (status int, hit bool, resp []byte, err error) {
+	var fence [fenceLen]byte
+	return f.relay(owner, appendFence(fence[:0], fp), body, dst)
+}
+
+// Forward is ForwardModel under the bare fence: the owner serves the
+// body without a model check, into a fresh response buffer.
+func (f *Fabric) Forward(owner int, body []byte) (status int, hit bool, resp []byte, err error) {
+	return f.relay(owner, bareFence, body, nil)
+}
+
+// Close closes the relay's idle connections. Forwards in flight finish
+// and close theirs; later forwards fail, and the edge computes locally.
+func (f *Fabric) Close() {
+	for _, p := range f.peers {
+		p.close()
+	}
 }
 
 // Status is the fabric block of /v1/stats.
@@ -136,6 +167,7 @@ type Status struct {
 	Forwarded     uint64   `json:"forwarded"`
 	ForwardErrors uint64   `json:"forwardErrors"`
 	FallbackLocal uint64   `json:"fallbackLocal"`
+	ModelMismatch uint64   `json:"modelMismatch"`
 	ServedLocal   uint64   `json:"servedLocal"`
 	RemoteHits    uint64   `json:"remoteHits"`
 	ForwardedIn   uint64   `json:"forwardedIn"`
@@ -149,6 +181,7 @@ func (f *Fabric) Status() Status {
 		Forwarded:     f.Forwarded.Load(),
 		ForwardErrors: f.ForwardErrors.Load(),
 		FallbackLocal: f.FallbackLocal.Load(),
+		ModelMismatch: f.ModelMismatch.Load(),
 		ServedLocal:   f.ServedLocal.Load(),
 		RemoteHits:    f.RemoteHits.Load(),
 		ForwardedIn:   f.ForwardedIn.Load(),

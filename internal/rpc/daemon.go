@@ -578,7 +578,9 @@ func (d *Daemon) EnableFabric(self string) error {
 	if err != nil {
 		return err
 	}
-	d.fab.Store(f)
+	if old := d.fab.Swap(f); old != nil {
+		old.Close()
+	}
 	return nil
 }
 
@@ -866,6 +868,11 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		var first error
 		if err := d.srv.Shutdown(ctx); err != nil && first == nil {
 			first = err
+		}
+		// The handlers are drained: no forward is in flight, so closing
+		// the relay closes every connection it holds to the members.
+		if f := d.fab.Load(); f != nil {
+			f.Close()
 		}
 		if wt := d.watcher.Load(); wt != nil {
 			wt.Close()

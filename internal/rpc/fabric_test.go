@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -366,4 +369,156 @@ func TestValidatePeers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	d.Shutdown(ctx)
+}
+
+// decodeAllocs decodes the allocations of a single or batch reply.
+func decodeAllocs(t *testing.T, data []byte) [][]int64 {
+	t.Helper()
+	var batch struct {
+		Responses []partitionReply `json:"responses"`
+	}
+	if err := json.Unmarshal(data, &batch); err == nil && batch.Responses != nil {
+		out := make([][]int64, len(batch.Responses))
+		for i, r := range batch.Responses {
+			out[i] = r.Alloc
+		}
+		return out
+	}
+	var one partitionReply
+	if err := json.Unmarshal(data, &one); err != nil {
+		t.Fatalf("undecodable reply %s: %v", data, err)
+	}
+	return [][]int64{one.Alloc}
+}
+
+// TestFabricForwardModelMismatch: an answer must come from the model of
+// the member the client asked. The edge forwards its model fingerprint in
+// the fence; an owner holding another model under the label, or none,
+// answers 421 and the edge computes locally. An edge that lacks the model
+// answers its own 400 without forwarding.
+func TestFabricForwardModelMismatch(t *testing.T) {
+	docA, docB := testClusterDoc(t, 6, 21), testClusterDoc(t, 6, 22)
+	cases := []struct {
+		name          string
+		edge, owner   []byte // model uploaded under "lab" (nil: none)
+		wantUnknown   bool   // the edge's own unknown-model error
+		wantMismatch  bool
+		wantForwarded bool
+	}{
+		{"owner holds another model", docA, docB, false, true, false},
+		{"only the edge holds the model", docA, nil, false, true, false},
+		{"only the owner holds the model", nil, docA, true, false, false},
+		{"same model", docA, docA, false, false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			daemons, bases := startFabricCluster(t, 2, Config{})
+			edge, owner := 0, 1
+			for i, doc := range [][]byte{c.edge, c.owner} {
+				if doc == nil {
+					continue
+				}
+				if code := postJSON(t, bases[i]+"/v1/models?label=lab", doc, nil); code != 200 {
+					t.Fatalf("upload to %s: HTTP %d", bases[i], code)
+				}
+			}
+			n := ownedN(t, daemons[edge].Fabric(), "lab", bases[owner], 400_000)
+			single := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, n))
+			batch := []byte(fmt.Sprintf(`{"requests":[{"model":"lab","n":%d},{"model":"lab","n":%d}]}`, n, n))
+			bare := map[string]string{fabric.ForwardedHeader: "1"}
+			for _, body := range [][]byte{single, batch} {
+				code, data, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, nil)
+				if c.wantUnknown {
+					// A single answers 400; a batch answers 200 with the
+					// error in each element.
+					wantCode := http.StatusBadRequest
+					if bytes.HasPrefix(body, []byte(`{"requests"`)) {
+						wantCode = http.StatusOK
+					}
+					if code != wantCode || !bytes.Contains(data, []byte("unknown model")) || bytes.Contains(data, []byte(`"alloc"`)) {
+						t.Fatalf("%s: HTTP %d %s, want the edge's own unknown-model error", body, code, data)
+					}
+					continue
+				}
+				if code != 200 {
+					t.Fatalf("%s: HTTP %d: %s", body, code, data)
+				}
+				_, own, _ := postRawHdr(t, bases[edge]+"/v1/partition", body, bare)
+				got, want := decodeAllocs(t, data), decodeAllocs(t, own)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s: answer %v differs from the edge's own model %v", body, got, want)
+				}
+			}
+			st := daemons[edge].Fabric().Status()
+			if (st.ModelMismatch > 0) != c.wantMismatch || (st.Forwarded > 0) != c.wantForwarded {
+				t.Fatalf("edge fabric counters %+v", st)
+			}
+			if c.wantMismatch && (st.ModelMismatch != 2 || st.FallbackLocal != 0) {
+				t.Fatalf("want 2 mismatches (single + batch) and no owner-down fallbacks: %+v", st)
+			}
+		})
+	}
+}
+
+// TestFabricForwardShutdownClosesRelay: the relay's keep-alive connections
+// to a member that stays up close when the edge shuts down, and when
+// EnableFabric replaces the fabric they were opened by.
+func TestFabricForwardShutdownClosesRelay(t *testing.T) {
+	var open atomic.Int32
+	owner := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"alloc":[1],"slope":1,"tier":"hit","stats":{}}`+"\n")
+	}))
+	owner.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		switch s {
+		case http.StateNew:
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	owner.Start()
+	defer owner.Close()
+
+	d, base := startDaemon(t, Config{Dir: t.TempDir()})
+	if code := postJSON(t, base+"/v1/models?label=lab", testClusterDoc(t, 5, 9), nil); code != 200 {
+		t.Fatalf("upload: HTTP %d", code)
+	}
+	d.SetPeers([]string{owner.URL})
+	if err := d.EnableFabric(base); err != nil {
+		t.Fatal(err)
+	}
+	body := []byte(fmt.Sprintf(`{"model":"lab","n":%d}`, ownedN(t, d.Fabric(), "lab", owner.URL, 100_000)))
+	forward := func() {
+		t.Helper()
+		if code, data, _ := postRawHdr(t, base+"/v1/partition", body, nil); code != 200 {
+			t.Fatalf("forwarded ask: HTTP %d: %s", code, data)
+		}
+		if open.Load() == 0 {
+			t.Fatal("the owner saw no connection from the edge")
+		}
+	}
+	waitClosed := func(when string) {
+		t.Helper()
+		for end := time.Now().Add(3 * time.Second); open.Load() != 0; {
+			if time.Now().After(end) {
+				t.Fatalf("%s: %d relay connection(s) to the owner still open", when, open.Load())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	forward()
+	if err := d.EnableFabric(base); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed("after EnableFabric replaced the fabric")
+	forward()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed("after Shutdown")
 }

@@ -139,7 +139,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
-	sc := wirePool.Get().(*wireScratch)
+	sc := getWire()
 	sc.out = appendErrorBody(sc.out[:0], msg)
 	writeBody(w, code, sc.out)
 	releaseWire(sc)
@@ -688,7 +688,7 @@ func (d *Daemon) handlePartition(w http.ResponseWriter, r *http.Request) {
 		writeStatic(w, http.StatusServiceUnavailable, bodySyncing, true)
 		return
 	}
-	sc := wirePool.Get().(*wireScratch)
+	sc := getWire()
 	defer releaseWire(sc)
 	if err := sc.readBody(r); err != nil {
 		if errors.Is(err, errBodyTooLarge) {
@@ -746,27 +746,59 @@ func writeQuotaError(w http.ResponseWriter, retry int) {
 	httpError(w, http.StatusTooManyRequests, "tenant over quota; retry after %ds", retry)
 }
 
-// forwardPartition relays the raw request body to the owning member and
-// the response back verbatim. Returns false when the owner is unreachable
-// or answering 5xx — the caller serves locally instead (every member can
-// compute every plan; an owner outage costs cache warmth, not
-// availability). 2xx-4xx relay as-is: a 400 is the same 400 this member
-// would produce.
-func (d *Daemon) forwardPartition(w http.ResponseWriter, fab *fabric.Fabric, owner int, ts *fabric.TenantStats, body []byte) bool {
-	status, tier, resp, err := fab.Forward(owner, body)
-	if err != nil || status >= 500 {
+// forwardPartition relays the raw request body to the owning member under
+// a fence carrying fp, the edge's fingerprint for the requested model, and
+// the response back verbatim. The response is read into sc.out. It
+// returns ok=false when the caller must serve locally instead (every
+// member can compute every plan; an owner outage costs cache warmth, not
+// availability): the owner is unreachable or answers 5xx, or it answers
+// 421 because it holds a different model under the label, or none. Other
+// 2xx-4xx relay as-is: a 400 is the same 400 this member would produce.
+func (d *Daemon) forwardPartition(w http.ResponseWriter, fab *fabric.Fabric, owner int, fp uint64, sc *wireScratch) (hit, ok bool) {
+	status, hit, resp, err := fab.ForwardModel(owner, fp, sc.body, sc.out[:0])
+	sc.out = resp[:0]
+	switch {
+	case err != nil || status >= 500:
 		fab.ForwardErrors.Add(1)
 		fab.FallbackLocal.Add(1)
-		return false
+		return false, false
+	case status == http.StatusMisdirectedRequest:
+		fab.ModelMismatch.Add(1)
+		return false, false
 	}
 	fab.Forwarded.Add(1)
-	ts.Forwarded.Add(1)
-	if tier == "hit" {
+	if hit {
 		fab.RemoteHits.Add(1)
-		ts.RemoteHits.Add(1)
 	}
 	writeBody(w, status, resp)
-	return true
+	return hit, true
+}
+
+// requestModel resolves every element of the parsed request (one for a
+// single) and reports the one model fingerprint they share; ok is false
+// when an element's model is unknown here or the elements name different
+// models.
+func (d *Daemon) requestModel(sc *wireScratch) (fp uint64, ok bool) {
+	for i := range sc.reqs {
+		_, efp, found := d.resolveModelBytes(sc.spanBytes(sc.reqs[i].model))
+		if !found || (i > 0 && efp != fp) {
+			return 0, false
+		}
+		fp = efp
+	}
+	return fp, true
+}
+
+// misdirected reports whether a forwarded request's fence carries a model
+// fingerprint other than the one its elements resolve to here (or they
+// resolve to none). The bare fence serves unchecked.
+func (d *Daemon) misdirected(r *http.Request, sc *wireScratch) bool {
+	fp, ok := fabric.FenceFingerprint(r.Header[fabric.ForwardedHeader][0])
+	if !ok {
+		return false
+	}
+	own, ok := d.requestModel(sc)
+	return !ok || own != fp
 }
 
 // wireToServe validates one parsed wire request, mirroring toServeRequest
@@ -867,7 +899,10 @@ func (d *Daemon) resolveModelBytes(name []byte) ([]speed.Function, uint64, bool)
 // family another fabric member owns is relayed there verbatim. A request
 // carrying the forwarding fence is always served locally (no re-forward,
 // no second quota charge) and announces its tier in a response header so
-// the relaying edge can count remote hits without parsing the body.
+// the relaying edge can count remote hits without parsing the body. The
+// edge forwards only a model it holds itself, with its fingerprint in the
+// fence; under such a fence the owner serves only the same model and
+// answers 421 otherwise.
 func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc *wireScratch) {
 	wr := &sc.reqs[0]
 	tenant, family := fabric.TenantSpan(sc.spanBytes(wr.model))
@@ -879,6 +914,10 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 		if fab != nil {
 			fab.ForwardedIn.Add(1)
 		}
+		if d.misdirected(r, sc) {
+			writeBody(w, http.StatusMisdirectedRequest, bodyModelMismatch)
+			return
+		}
 	} else {
 		if ok, retry := d.tenancy.Allow(tenant); !ok {
 			ts.Rejected.Add(1)
@@ -887,10 +926,17 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 		}
 		if fab != nil && len(family) > 0 && wr.n >= 0 {
 			if owner := fab.OwnerIndex(tenant, family, wr.n); !fab.IsSelf(owner) {
-				if d.forwardPartition(w, fab, owner, ts, sc.body) {
-					return
+				if fp, found := d.requestModel(sc); found {
+					if hit, ok := d.forwardPartition(w, fab, owner, fp, sc); ok {
+						ts.Forwarded.Add(1)
+						if hit {
+							ts.RemoteHits.Add(1)
+						}
+						return
+					}
 				}
-				// Owner down: fall through and compute locally.
+				// Unknown model here, owner down or holding another
+				// model: fall through and answer locally.
 			} else {
 				fab.ServedLocal.Add(1)
 			}
@@ -931,6 +977,8 @@ func (d *Daemon) servePartitionSingle(w http.ResponseWriter, r *http.Request, sc
 // is attributed and quota-charged, and when one remote member owns every
 // element's plan family the whole body is relayed there verbatim (mixed
 // owners serve locally — splitting a batch would break its coalescing).
+// It is relayed only when every element resolves to one model here, whose
+// fingerprint the fence carries; a fenced owner checks every element.
 // The encode pass streams: past batchFlushBytes the buffer is flushed to
 // the client and reused, so a 100k-element batch costs O(64 KiB) of
 // response memory, not O(batch). The byte stream is identical either way.
@@ -973,20 +1021,22 @@ func (d *Daemon) servePartitionBatch(w http.ResponseWriter, r *http.Request, sc 
 		if fab != nil {
 			fab.ForwardedIn.Add(1)
 		}
+		if d.misdirected(r, sc) {
+			writeBody(w, http.StatusMisdirectedRequest, bodyModelMismatch)
+			return
+		}
 	case fab != nil && uniform && owner >= 0 && !fab.IsSelf(owner) && !rejected:
 		// One remote owner for the whole batch: relay it verbatim so its
 		// elements coalesce in the owner's dispatch cycle and warm the
 		// owner's cache, exactly as a local batch would.
-		if status, _, resp, err := fab.Forward(owner, sc.body); err == nil && status < 500 {
-			fab.Forwarded.Add(1)
-			for i := range sc.items {
-				sc.items[i].ts.Forwarded.Add(1)
+		if fp, ok := d.requestModel(sc); ok {
+			if _, ok := d.forwardPartition(w, fab, owner, fp, sc); ok {
+				for i := range sc.items {
+					sc.items[i].ts.Forwarded.Add(1)
+				}
+				return
 			}
-			writeBody(w, status, resp)
-			return
 		}
-		fab.ForwardErrors.Add(1)
-		fab.FallbackLocal.Add(1)
 	case fab != nil:
 		fab.ServedLocal.Add(1)
 	}

@@ -70,6 +70,7 @@ var (
 	bodyBooting        = []byte(`{"error":"booting: store replaying"}` + "\n")
 	bodySyncing        = []byte(`{"error":"replica syncing; retry when /readyz is 200"}` + "\n")
 	bodyTooLarge       = []byte(`{"error":"bad JSON: http: request body too large"}` + "\n")
+	bodyModelMismatch  = []byte(`{"error":"misdirected: this member holds another model, or none, under that label"}` + "\n")
 	errBodyTooLarge    = errors.New("http: request body too large")
 	errUnexpectedEnd   = errors.New("unexpected end of JSON input")
 	errTopLevelNotObj  = errors.New("top-level value must be an object")
@@ -102,7 +103,7 @@ type wireItem struct {
 	retry int
 }
 
-// wireScratch is everything one request needs, pooled across requests. A
+// wireScratch is everything one request needs, reused across requests. A
 // warm single request touches only memory owned here.
 type wireScratch struct {
 	body   []byte        // request body
@@ -114,12 +115,38 @@ type wireScratch struct {
 	pos    int // parser cursor into body
 }
 
-var wirePool = sync.Pool{New: func() any { return &wireScratch{} }}
+// wireFree is the free list of request scratches, LIFO under one mutex.
+// It is not a sync.Pool: a scratch parked in one P's private slot is out
+// of reach of a goroutine that has migrated to another P, which then gets
+// a fresh scratch and regrows its buffers — the warm path allocated
+// whenever the scheduler moved it. Every parked scratch here is reachable
+// from every P. At most maxFreeWire are kept; past that the GC takes them.
+var wireFree struct {
+	sync.Mutex
+	list []*wireScratch
+}
 
-// releaseWire returns a scratch to the pool, dropping buffers an outlier
-// request blew up (an 8 MiB body should not be retained forever).
+const maxFreeWire = 64
+
+// getWire takes a scratch from the free list, or makes one.
+func getWire() *wireScratch {
+	wireFree.Lock()
+	if n := len(wireFree.list); n > 0 {
+		sc := wireFree.list[n-1]
+		wireFree.list[n-1] = nil
+		wireFree.list = wireFree.list[:n-1]
+		wireFree.Unlock()
+		return sc
+	}
+	wireFree.Unlock()
+	return &wireScratch{}
+}
+
+// releaseWire returns a scratch to the free list, dropping buffers an
+// outlier request blew up (an 8 MiB body or a 100k-element batch should
+// not be retained forever).
 func releaseWire(sc *wireScratch) {
-	const keep = 1 << 20
+	const keep, keepElems = 1 << 20, 4096
 	if cap(sc.body) > keep {
 		sc.body = nil
 	}
@@ -129,7 +156,20 @@ func releaseWire(sc *wireScratch) {
 	if cap(sc.strBuf) > keep {
 		sc.strBuf = nil
 	}
-	wirePool.Put(sc)
+	if cap(sc.reqs) > keepElems {
+		sc.reqs = nil
+	}
+	if cap(sc.items) > keepElems {
+		sc.items = nil
+	}
+	if cap(sc.arena) > keep/8 {
+		sc.arena = nil
+	}
+	wireFree.Lock()
+	if len(wireFree.list) < maxFreeWire {
+		wireFree.list = append(wireFree.list, sc)
+	}
+	wireFree.Unlock()
 }
 
 // span locates a parsed string: in the body when the literal had no

@@ -62,12 +62,16 @@
 #      zero so a regression to "just one alloc" still fails loudly
 #  15. explicit race pass for the sharded serving fabric (fabric) —
 #      tenant stats, token buckets and forwarding counters are hit by
-#      every concurrent request path
+#      every concurrent request path — plus a 10 s race-enabled fuzz of
+#      the forwarding relay's response parser against net/http
 #  16. forwarding gate: forwarded partition requests must be bit-identical
 #      to owner-local answers, and an owner outage must degrade to local
 #      compute instead of an error
 #  17. fabric benchmark smoke: the owned/forwarded/quota paths each run
 #      once over real loopback HTTP
+#  18. hop allocation guard: a forwarded request may cost at most twice
+#      the allocs/op of an owner-local one — the owner's own net/http
+#      server cost; the relay itself adds nothing
 #
 # Usage: scripts/ci.sh
 set -e
@@ -157,9 +161,26 @@ END {
 }'
 echo "==> go test -race ./internal/fabric/... (fabric gate)" >&2
 go test -race ./internal/fabric/...
+echo "==> fuzz smoke: go test -race -run '^$' -fuzz FuzzForwardResponse -fuzztime=10s ./internal/fabric/" >&2
+go test -race -run '^$' -fuzz '^FuzzForwardResponse$' -fuzztime=10s ./internal/fabric/
 echo "==> forwarding gate: go test -race -run 'FabricForward|FabricOwnerDown' ./internal/rpc/" >&2
 go test -race -count=1 -run 'FabricForward|FabricOwnerDown' ./internal/rpc/
 echo "==> benchmark smoke: BENCHTIME=1x scripts/bench_fabric.sh /tmp/bench_fabric_smoke.json" >&2
 BENCHTIME=1x scripts/bench_fabric.sh /tmp/bench_fabric_smoke.json
 rm -f /tmp/bench_fabric_smoke.json
+echo "==> hop allocs/op guard: forwarded <= 2 x local" >&2
+# 2000x amortizes the one-time dial and buffer growth of the first
+# iterations on both members.
+go test -run '^$' -bench 'FabricForward' -benchtime=2000x -benchmem . |
+awk '
+/^BenchmarkFabricForward\/(local|forwarded)/ {
+	allocs = "?"
+	for (i = 3; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i
+	printf "    %s: %s allocs/op\n", $1, allocs
+	if ($1 ~ /\/local/) local = allocs; else fwd = allocs
+}
+END {
+	if (local == "" || fwd == "" || local == "?" || fwd == "?") { print "FAIL: no local/forwarded benchmark output parsed" > "/dev/stderr"; exit 1 }
+	if (fwd + 0 > 2 * local) { print "FAIL: the forwarding hop allocates more than the owner serving it" > "/dev/stderr"; exit 1 }
+}'
 echo "==> all gates green" >&2
